@@ -22,15 +22,19 @@ execute it through exactly the legacy plan/execute path, so the old
 
 :class:`RectUnion` is the region a multi-rect query scans: it
 duck-types the :class:`~repro.geometry.Rect` surface the engine's
-filter and telemetry touch (``contains``, ``lengths``, ``dim``), so a
-merged :class:`~repro.engine.plan.QueryPlan` over a union flows through
-the executors unchanged.
+filter and telemetry touch (``contains``, ``contains_many``,
+``contains_box``, ``lengths``, ``dim``), so a merged
+:class:`~repro.engine.plan.QueryPlan` over a union flows through the
+executors unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
+
+import numpy as np
+import numpy.typing as npt
 
 from ..engine.executor import Record
 from ..engine.plan import ExecutionPolicy
@@ -54,9 +58,9 @@ class RectUnion:
 
     Covers exactly the cells contained in at least one member rect.
     Duck-types the part of the :class:`~repro.geometry.Rect` surface the
-    engine touches: ``contains`` (the executor's record filter),
-    ``lengths`` and ``dim`` (bounding-box telemetry for the workload
-    recorder).
+    engine touches: ``contains``, ``contains_many`` and ``contains_box``
+    (the executor's record filter), ``lengths`` and ``dim``
+    (bounding-box telemetry for the workload recorder).
     """
 
     rects: Tuple[Rect, ...]
@@ -97,6 +101,21 @@ class RectUnion:
     def contains(self, cell) -> bool:
         """True when ``cell`` lies inside at least one member rect."""
         return any(rect.contains(cell) for rect in self.rects)
+
+    def contains_many(self, coords: npt.NDArray[np.int64]) -> npt.NDArray[np.bool_]:
+        """Vectorized :meth:`contains` over the rows of an ``(n, dim)`` array."""
+        mask = np.zeros(len(coords), dtype=np.bool_)
+        for rect in self.rects:
+            mask |= rect.contains_many(coords)
+        return mask
+
+    def contains_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        """True when the box ``[lo, hi]`` lies inside one member rect.
+
+        A box covered only by several members together reports False;
+        that costs the executor a mask, never a wrong answer.
+        """
+        return any(rect.contains_box(lo, hi) for rect in self.rects)
 
     def fits_in(self, side: int) -> bool:
         """True when every member rect fits the universe."""

@@ -45,7 +45,7 @@ from ..curves.base import SpaceFillingCurve
 from ..curves.registry import make_curve
 from ..devtools.annotations import guarded_by
 from ..engine.cost import CostModel
-from ..engine.executor import Record
+from ..engine.executor import Page, Record
 from ..engine.plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
 from ..geometry import Rect
@@ -146,19 +146,23 @@ def pack_layout(
     scans — shared by every store; the sharded index's
     byte-identical-layout guarantee (and with it shard transparency)
     rests on all flush paths using this one function.
+
+    Each page is a columnar :class:`~repro.engine.executor.Page`: one
+    pass splits the entries into a key list and a record list, and every
+    page takes a slice of both.  The coordinate columns the executor's
+    vectorized filter uses are left for the page's first scan to build.
     """
-    layout = PageLayout()
-    page: List[Tuple[int, Record]] = []
+    keys: List[int] = []
+    values: List[Record] = []
     for key, record in records:
-        if not page:
-            layout.first_keys.append(key)
-        page.append((key, record))
-        if len(page) == page_capacity:
-            layout.last_keys.append(key)
-            layout.page_ids.append(disk.allocate(page))
-            page = []
-    if page:
-        layout.last_keys.append(page[-1][0])
+        keys.append(key)
+        values.append(record)
+    layout = PageLayout()
+    for lo in range(0, len(keys), page_capacity):
+        hi = lo + page_capacity
+        page = Page(keys[lo:hi], values[lo:hi])
+        layout.first_keys.append(page.keys[0])
+        layout.last_keys.append(page.keys[-1])
         layout.page_ids.append(disk.allocate(page))
     return layout
 

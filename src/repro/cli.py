@@ -49,6 +49,12 @@ Commands::
                                           static lock-discipline and
                                           invariant analysis + mypy ratchet
                                           (see ``repro.devtools``)
+
+Exit status: 0 on success; 1 when a check the command runs fails
+(``recover --verify``, ``lint`` findings); 2 on a usage error reported
+by argument parsing; 3 (:data:`EXIT_ERROR`) when the command fails with
+a typed :class:`~repro.errors.ReproError`, printed as one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from .core.clustering import clustering_number
 from .core.queries import random_cubes
 from .core.runs import query_runs
 from .curves import curve_names, make_curve
-from .errors import InvalidQueryError
+from .errors import InvalidQueryError, ReproError
 from .experiments.cli import main as experiments_main
 from .experiments.report import format_table
 from .geometry import Rect
@@ -73,7 +79,11 @@ from .index import SFCIndex, ShardedSFCIndex, advise
 from .obs import EVENTS, METRICS, enable_metrics, start_trace
 from .visualize import render_clusters, render_keys, render_path
 
-__all__ = ["main"]
+__all__ = ["EXIT_ERROR", "main"]
+
+#: Exit status of a command that failed with a typed
+#: :class:`~repro.errors.ReproError` (see the module docstring).
+EXIT_ERROR = 3
 
 
 def _parse_cell(text: str) -> tuple:
@@ -190,7 +200,22 @@ def _build_index(args: argparse.Namespace, recorder=None):
 
 
 def main(argv: List[str] = None) -> int:
-    """Dispatch the top-level CLI."""
+    """Dispatch the top-level CLI and return its exit status.
+
+    A typed :class:`~repro.errors.ReproError` — bad input such as a rect
+    outside the universe, or a store that cannot be recovered — is
+    printed as one ``repro: <ErrorType>: <message>`` line on stderr and
+    exits with :data:`EXIT_ERROR`, never as a traceback.
+    """
+    try:
+        return _dispatch(argv)
+    except ReproError as exc:
+        message = " ".join(str(exc).split())
+        print(f"repro: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+def _dispatch(argv: List[str] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "experiments":
         return experiments_main(argv[1:])

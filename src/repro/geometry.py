@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import InvalidQueryError, InvalidUniverseError, OutOfUniverseError
 
@@ -134,6 +135,20 @@ class Rect:
         if len(cell) != self.dim:
             return False
         return all(l <= int(c) <= h for l, c, h in zip(self.lo, cell, self.hi))
+
+    def contains_many(self, coords: npt.NDArray[np.int64]) -> npt.NDArray[np.bool_]:
+        """Vectorized :meth:`contains` over the rows of an ``(n, dim)`` array."""
+        if coords.shape[1] != len(self.lo):
+            return np.zeros(len(coords), dtype=bool)
+        return ((coords >= self.lo) & (coords <= self.hi)).all(axis=1)
+
+    def contains_box(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        """Return True when the box ``[lo, hi]`` lies wholly inside the rect."""
+        if len(lo) != len(self.lo):
+            return False
+        return all(a <= l for a, l in zip(self.lo, lo)) and all(
+            h <= b for h, b in zip(hi, self.hi)
+        )
 
     def fits_in(self, side: int) -> bool:
         """Return True when the rect lies fully inside ``[0, side)^dim``."""

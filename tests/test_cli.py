@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_ERROR, main
+
+
+def assert_one_line_error(capsys, error_type):
+    """The CLI reported ``error_type`` as a single stderr line."""
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro: {error_type}: "), lines[0]
+    assert "Traceback" not in captured.err
 
 
 class TestCurvesCommand:
@@ -61,6 +70,11 @@ class TestExplainCommand:
         out = capsys.readouterr().out
         assert "gap_tolerance=32" in out
 
+    def test_rect_outside_universe_exits_with_one_line_error(self, capsys):
+        # default --side 8: the rect does not fit the universe
+        assert main(["explain", "--lo", "10,10", "--hi", "40,30"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "InvalidQueryError")
+
 
 class TestQueryCommand:
     def test_single_rect(self, capsys):
@@ -99,14 +113,10 @@ class TestQueryCommand:
         assert "nearest" in out
         assert "distance" in out
 
-    def test_rect_required_without_knn(self):
-        import pytest
-
-        from repro.errors import InvalidQueryError
-
-        with pytest.raises(InvalidQueryError):
-            main(["query", "--curve", "onion", "--side", "16",
-                  "--points", "100"])
+    def test_rect_required_without_knn(self, capsys):
+        assert main(["query", "--curve", "onion", "--side", "16",
+                     "--points", "100"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "InvalidQueryError")
 
     def test_malformed_rect_rejected(self):
         import pytest
@@ -190,17 +200,15 @@ class TestMigrateCommand:
         assert "onion" in out
         assert "after migration:" in out
 
-    def test_bad_shape_or_weight_raises_typed_error(self):
-        from repro.errors import InvalidQueryError
-
-        with pytest.raises(InvalidQueryError):
-            main(["migrate", "--curve", "rowmajor", "--to", "onion",
-                  "--side", "16", "--shapes", "20x1", "--queries", "5"])
-        with pytest.raises(InvalidQueryError):
-            main(["migrate", "--curve", "rowmajor", "--to", "onion",
-                  "--side", "16", "--shapes", "8x8:0", "--queries", "5"])
-        with pytest.raises(InvalidQueryError):
-            main(["advise", "--side", "16", "--shapes", "8x8:-1,4x4:2"])
+    def test_bad_shape_or_weight_exits_with_typed_error(self, capsys):
+        assert main(["migrate", "--curve", "rowmajor", "--to", "onion",
+                     "--side", "16", "--shapes", "20x1", "--queries", "5"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "InvalidQueryError")
+        assert main(["migrate", "--curve", "rowmajor", "--to", "onion",
+                     "--side", "16", "--shapes", "8x8:0", "--queries", "5"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "InvalidQueryError")
+        assert main(["advise", "--side", "16", "--shapes", "8x8:-1,4x4:2"]) == EXIT_ERROR
+        assert_one_line_error(capsys, "InvalidQueryError")
 
     def test_sharded_migration(self, capsys):
         assert main(["migrate", "--curve", "hilbert", "--to", "rowmajor",
@@ -258,11 +266,9 @@ class TestDurabilityCommands:
         assert "0 WAL frame(s) replayed" in out
         assert "verify: OK" in out
 
-    def test_recover_missing_store_raises_typed_error(self, tmp_path):
-        from repro.errors import RecoveryError
-
-        with pytest.raises(RecoveryError):
-            main(["recover", "--path", str(tmp_path / "nothing")])
+    def test_recover_missing_store_exits_with_one_line_error(self, tmp_path, capsys):
+        assert main(["recover", "--path", str(tmp_path / "nothing")]) == EXIT_ERROR
+        assert_one_line_error(capsys, "RecoveryError")
 
 
 class TestExperimentsDelegation:
