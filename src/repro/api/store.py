@@ -717,10 +717,13 @@ class SpatialStore(abc.ABC):
     def knn(self, point: Sequence[int], k: int, metric: str = "euclidean"):
         """The ``k`` records nearest to ``point`` (expanding range search).
 
-        Grows a box around ``point`` in doubling radii, scanning each
-        box through the plan/execute path (so every expansion is priced
-        and recorded like any range query), until the ``k``-th best
-        distance is provably inside the searched box.  Returns a
+        Grows a box around ``point``, scanning each box through the
+        plan/execute path (so every expansion is priced and recorded
+        like any range query), until the ``k``-th best distance is
+        provably inside the searched box.  The radius doubles until
+        ``k`` candidates are in hand; then the ``k``-th candidate's
+        distance bounds the next box.  ``k`` must be a non-negative
+        integer (numpy integers included).  Returns a
         :class:`~repro.api.knn.KNNResult`; differential tests check it
         against a brute-force oracle in 2-d and 3-d.
         """

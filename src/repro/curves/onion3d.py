@@ -50,6 +50,18 @@ _LINES = (3, 5, 6, 8)
 #: Pieces that are squares of side ``j − 2``.
 _INNER_FACES = (4, 7, 9, 10)
 
+#: Piece id by ``9·cx + 3·cy + cz``, where each ``c`` is 0 (interior),
+#: 1 (on the layer's low face) or 2 (on its high face) along one axis.
+#: Code 0 lies inside the layer and never occurs.
+_PIECE_OF_CODE = np.array(
+    [0, 9, 10, 4, 3, 5, 7, 6, 8]  # x interior; y interior, low, high; by z
+    + [1] * 9  # x on the low face
+    + [2] * 9,  # x on the high face
+    dtype=np.int64,
+)
+_CODE_WEIGHTS = np.array([9, 3, 1], dtype=np.int64)
+_IS_LINE = np.isin(np.arange(11), _LINES)
+
 
 class OnionCurve3D(SpaceFillingCurve):
     """Closed-form three-dimensional onion curve on an even-sided cube."""
@@ -76,6 +88,13 @@ class OnionCurve3D(SpaceFillingCurve):
                 f"face_order must be a permutation of 1..10, got {order}"
             )
         self._order = order
+        # K2 = a[g]·j² + b[g]·(j − 2) + c[g]·(j − 2)²: the counts of full
+        # faces, lines and inner faces that precede piece g in a layer.
+        self._k2_coeffs = np.zeros((3, 11), dtype=np.int64)
+        for rank, g in enumerate(order):
+            for earlier in order[:rank]:
+                kind = 0 if earlier in _FULL_FACES else 1 if earlier in _LINES else 2
+                self._k2_coeffs[kind, g] += 1
         self._onion2d_cache: Dict[int, OnionCurve2D] = {}
 
     @property
@@ -204,46 +223,23 @@ class OnionCurve3D(SpaceFillingCurve):
     def index_many(self, cells: np.ndarray) -> np.ndarray:
         cells = self._check_cells_array(cells)
         s = self._side
-        x, y, z = cells[:, 0], cells[:, 1], cells[:, 2]
-        t = np.minimum.reduce([x + 1, s - x, y + 1, s - y, z + 1, s - z])
-        j = s - 2 * (t - 1)
-        lo = t - 1
-        hi = s - t
-        inner = np.maximum(j - 2, 1)  # guarded side for inner-face kernels
-
-        conds = [
-            x == lo,
-            x == hi,
-            (y == lo) & (z == lo),
-            (y == lo) & (z == hi),
-            y == lo,
-            (y == hi) & (z == lo),
-            (y == hi) & (z == hi),
-            y == hi,
-            z == lo,
-            z == hi,
-        ]
-        gvals = [1, 2, 3, 5, 4, 6, 8, 7, 9, 10]
-        g = np.select(conds, gvals, default=0)
-
-        clip_hi = inner - 1
-        xi = np.clip(x - lo - 1, 0, clip_hi)
-        yi = np.clip(y - lo - 1, 0, clip_hi)
-        zi = np.clip(z - lo - 1, 0, clip_hi)
-        r_face = onion2d_index_array(y - lo, z - lo, j)
-        r_line = x - lo - 1
-        r_xz = onion2d_index_array(xi, zi, inner)
-        r_xy = onion2d_index_array(xi, yi, inner)
-        r = np.select(
-            [np.isin(g, _FULL_FACES), np.isin(g, _LINES), np.isin(g, (4, 7))],
-            [r_face, r_line, r_xz],
-            default=r_xy,
-        )
-
-        sizes = self._piece_sizes_arrays(j)
-        offsets = self._offsets_before(sizes)
-        off = np.select([g == gv for gv in range(1, 11)], [offsets[gv] for gv in range(1, 11)])
-        return (s**3 - j**3 + off + r).astype(np.int64)
+        lo = np.minimum(cells, s - 1 - cells).min(axis=1)  # layer t − 1
+        j = s - 2 * lo
+        rel = cells - lo[:, None]
+        # Per coordinate: 0 interior, 1 on the layer's low face, 2 on its high one.
+        code = (rel == 0) + 2 * (rel == (j - 1)[:, None])
+        g = _PIECE_OF_CODE[code @ _CODE_WEIGHTS]
+        # Rank within the piece's own square: (y, z) on the full x faces,
+        # (x, z) on the y faces and (x, y) on the z faces, whose squares
+        # start one cell in.  Lines rank by x and overwrite the 2-d rank.
+        inner = g > 2
+        u = np.where(inner, rel[:, 0] - 1, rel[:, 1])
+        v = np.where(g >= 9, rel[:, 1] - 1, rel[:, 2] - inner)
+        r = onion2d_index_array(u, v, j - 2 * inner)
+        r = np.where(_IS_LINE[g], rel[:, 0] - 1, r)
+        a, b, c = self._k2_coeffs
+        k2 = a[g] * j * j + b[g] * (j - 2) + c[g] * (j - 2) ** 2
+        return s**3 - j**3 + k2 + r
 
     def _piece_sizes_arrays(self, j: np.ndarray) -> Dict[int, np.ndarray]:
         """Per-cell piece sizes, keyed by piece id, for layer sides ``j``."""
@@ -260,15 +256,6 @@ class OnionCurve3D(SpaceFillingCurve):
             else:
                 sizes[g] = inner_face
         return sizes
-
-    def _offsets_before(self, sizes: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Cumulative piece offsets (``K2``) under the configured order."""
-        running = np.zeros_like(sizes[1])
-        offsets: Dict[int, np.ndarray] = {}
-        for g in self._order:
-            offsets[g] = running
-            running = running + sizes[g]
-        return offsets
 
     def point_many(self, keys: np.ndarray) -> np.ndarray:
         keys = self._check_keys_array(keys)

@@ -129,14 +129,37 @@ class TestFaceOrderAblation:
         assert analytic == sorted(walked)
 
 
+#: Piece orders the vectorized kernel is checked under: the paper's, its
+#: reverse, and one that interleaves faces, lines and inner faces.
+KERNEL_ORDERS = (
+    DEFAULT_FACE_ORDER,
+    TestFaceOrderAblation.REVERSED,
+    (3, 9, 1, 7, 10, 2, 5, 4, 8, 6),
+)
+
+
 class TestVectorized:
-    @pytest.mark.parametrize("side", [2, 4, 8, 16])
+    @pytest.mark.parametrize("side", range(2, 25, 2))
     def test_index_many_matches_scalar(self, side):
-        curve = OnionCurve3D(side)
-        rng = np.random.default_rng(side)
-        cells = rng.integers(0, side, size=(300, 3))
+        """Every cell of the universe, under each kernel order."""
+        axis = np.arange(side)
+        cells = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        for order in KERNEL_ORDERS:
+            curve = OnionCurve3D(side, face_order=order)
+            keys = curve.index_many(cells)
+            assert keys.dtype == np.int64
+            assert keys.tolist() == [curve.index(tuple(c)) for c in cells.tolist()]
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS)
+    def test_index_many_matches_scalar_at_side_64(self, order):
+        curve = OnionCurve3D(64, face_order=order)
+        cells = np.random.default_rng(64).integers(0, 64, size=(5000, 3))
         keys = curve.index_many(cells)
-        assert keys.tolist() == [curve.index(tuple(c)) for c in cells]
+        assert keys.tolist() == [curve.index(tuple(c)) for c in cells.tolist()]
+
+    def test_index_many_of_no_cells(self):
+        keys = OnionCurve3D(8).index_many(np.empty((0, 3), dtype=np.int64))
+        assert keys.shape == (0,) and keys.dtype == np.int64
 
     @pytest.mark.parametrize("side", [2, 4, 8, 16])
     def test_point_many_matches_scalar(self, side):
